@@ -54,15 +54,24 @@ func TestCmdBenchProfileCapture(t *testing.T) {
 // baseline claims SessionSolveCold used 10 allocs/op, far below what it
 // actually takes — and checks the full run() path returns exit code 8.
 // Allocation counts are machine-independent, so this cannot flake on a
-// noisy runner. An honest baseline recorded moments before must pass.
+// noisy runner. An honest baseline recorded moments before must pass:
+// one bench measured once is not enough evidence for an ns/op verdict,
+// so the gate reports "insufficient samples" rather than reading load
+// from parallel test packages as a regression.
 func TestCmdBenchCompareGate(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "BENCH_base.json")
-	args := []string{"-run", "^SessionSolveCold$", "-benchtime", "5ms", "-quiet"}
+	args := []string{"-run", "^SessionSolveCold$", "-benchtime", "5ms", "-repeat", "1", "-quiet"}
 	capture(t, func() error { return cmdBench(append(args, "-out", base)) })
 
-	if code := run(append([]string{"bench"}, append(args, "-compare", base)...)); code != 0 {
-		t.Fatalf("honest baseline comparison exited %d, want 0", code)
+	out, code := captureStdoutCode(t, func() int {
+		return run(append([]string{"bench"}, append(args, "-compare", base)...))
+	})
+	if code != 0 {
+		t.Fatalf("honest baseline comparison exited %d, want 0:\n%s", code, out)
+	}
+	if !strings.Contains(out, "insufficient samples") {
+		t.Fatalf("single-sample ns/op not reported as insufficient:\n%s", out)
 	}
 
 	tr, err := perf.ParseFile(base)

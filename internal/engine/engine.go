@@ -449,14 +449,18 @@ func (c *Core) kickCompute(ns *node) {
 		c.hooks.ComputeStarted(ns.id, tk, w)
 	}
 	c.clock.After(w, func() {
+		// The recorder counts the compute before the hook runs: a
+		// backend's hook may signal the batch done (the runtime closes
+		// its done channel), and a reader woken by that must see this
+		// compute in the fingerprint.
+		if c.rec != nil {
+			c.rec.compute(ns.id)
+		}
 		// The hook runs before the CPU is freed: a backend's user payload
 		// (runtime.Config.Work) is part of the task's service time, so the
 		// next local task must not start under it.
 		if !c.nopHooks {
 			c.hooks.ComputeFinished(ns.id, tk)
-		}
-		if c.rec != nil {
-			c.rec.compute(ns.id)
 		}
 		// completed increments before the result enters the upward flow, so
 		// Quiescent can never observe resultsHome caught up to a completed

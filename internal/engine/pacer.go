@@ -43,11 +43,13 @@ func (p *Pacer) PeriodStart(n int64) rat.R {
 	return p.tw.Mul(rat.FromInt(n))
 }
 
-// At is the release instant of slot i in period n.
+// At is the release instant of slot i in period n. Pattern positions are
+// monotone, so At never decreases in i: a caller walking a period toward
+// a horizon can stop at the first slot at or past it.
 func (p *Pacer) At(n int64, i int) rat.R {
 	base := p.PeriodStart(n)
 	if p.burst {
 		return base
 	}
-	return base.Add(p.pattern[i].Pos.Mul(p.tw))
+	return base.Add(p.pattern[i].Pos().Mul(p.tw))
 }

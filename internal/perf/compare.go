@@ -55,6 +55,15 @@ type Thresholds struct {
 	Normalize bool
 }
 
+// With fewer than minShared benches above the noise floor there is no
+// host-drift median to divide out, and only a min-of-K sample on both
+// sides (K >= minSamples) separates a regression from a burst of load;
+// Compare skips ns/op as "insufficient samples" without one.
+const (
+	minShared  = 3
+	minSamples = 3
+)
+
 // DefaultThresholds is the CI gate: 10% on time, 10%+1 on allocations.
 func DefaultThresholds() Thresholds {
 	return Thresholds{
@@ -115,19 +124,18 @@ func rel(old, new float64) float64 {
 // Compare gates the new trajectory against a baseline.
 func Compare(old, new *Trajectory, th Thresholds) *Comparison {
 	c := &Comparison{EnvMatch: old.Env.Comparable(new.Env)}
-	if th.Normalize {
-		var drifts []float64
-		for _, ob := range old.Results {
-			if nb, ok := new.Result(ob.Name); ok && ob.NsPerOp >= th.MinNs && ob.NsPerOp > 0 {
-				drifts = append(drifts, rel(ob.NsPerOp, nb.NsPerOp))
-			}
+	var drifts []float64
+	for _, ob := range old.Results {
+		if nb, ok := new.Result(ob.Name); ok && ob.NsPerOp >= th.MinNs && ob.NsPerOp > 0 {
+			drifts = append(drifts, rel(ob.NsPerOp, nb.NsPerOp))
 		}
-		if len(drifts) >= 3 {
-			sort.Float64s(drifts)
-			c.MedianDrift = drifts[len(drifts)/2]
-			if len(drifts)%2 == 0 {
-				c.MedianDrift = (c.MedianDrift + drifts[len(drifts)/2-1]) / 2
-			}
+	}
+	thin := len(drifts) < minShared && min(old.samples(), new.samples()) < minSamples
+	if th.Normalize && len(drifts) >= minShared {
+		sort.Float64s(drifts)
+		c.MedianDrift = drifts[len(drifts)/2]
+		if len(drifts)%2 == 0 {
+			c.MedianDrift = (c.MedianDrift + drifts[len(drifts)/2-1]) / 2
 		}
 	}
 	for _, ob := range old.Results {
@@ -162,6 +170,8 @@ func Compare(old, new *Trajectory, th Thresholds) *Comparison {
 			d.Skipped = "environment mismatch"
 		case ob.NsPerOp < th.MinNs:
 			d.Skipped = "below noise floor"
+		case thin:
+			d.Skipped = "insufficient samples"
 		case d.AdjRel > limit:
 			d.Regression = true
 			d.Why = fmt.Sprintf("+%.1f%% beyond host drift > +%.0f%% allowed", 100*d.AdjRel, 100*limit)

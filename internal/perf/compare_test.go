@@ -152,6 +152,54 @@ func TestCompareMedianNormalization(t *testing.T) {
 	}
 }
 
+// TestCompareInsufficientSamples: with fewer than three shared benches
+// there is no host-drift median, so an ns/op verdict needs min-of-3 on
+// both sides. A single-sample run reports the gap instead of failing;
+// allocs/op, being deterministic, still gates.
+func TestCompareInsufficientSamples(t *testing.T) {
+	withRepeat := func(k int, ns float64, allocs int64) *Trajectory {
+		tr := mkTraj([]Result{{Name: "X", NsPerOp: ns, AllocsPerOp: allocs}}, nil)
+		tr.Repeat = k
+		return tr
+	}
+	th := DefaultThresholds()
+	th.Normalize = true
+
+	c := Compare(withRepeat(1, 50_000, 10), withRepeat(1, 65_000, 10), th)
+	if d := findDelta(t, c, "X ns/op"); !c.Ok() || d.Skipped != "insufficient samples" {
+		t.Fatalf("single-sample ns/op gated: %+v", c)
+	}
+	c = Compare(withRepeat(3, 50_000, 10), withRepeat(1, 65_000, 10), th)
+	if d := findDelta(t, c, "X ns/op"); d.Skipped != "insufficient samples" {
+		t.Fatalf("min-of-3 on one side only is not enough evidence: %+v", c)
+	}
+	c = Compare(withRepeat(1, 50_000, 10), withRepeat(1, 50_000, 50), th)
+	if !findDelta(t, c, "X allocs/op").Regression {
+		t.Fatalf("alloc gate must not depend on samples: %+v", c)
+	}
+	c = Compare(withRepeat(3, 50_000, 10), withRepeat(3, 65_000, 10), th)
+	if !findDelta(t, c, "X ns/op").Regression {
+		t.Fatalf("min-of-3 regression not flagged: %+v", c)
+	}
+	// Trajectories that predate the field count as min-of-3.
+	c = Compare(withRepeat(0, 50_000, 10), withRepeat(0, 65_000, 10), th)
+	if !findDelta(t, c, "X ns/op").Regression {
+		t.Fatalf("legacy trajectories lost their ns/op gate: %+v", c)
+	}
+	// Three shared benches give the gate its own evidence.
+	three := func(x float64) *Trajectory {
+		tr := mkTraj([]Result{
+			{Name: "A", NsPerOp: 100_000}, {Name: "B", NsPerOp: 200_000},
+			{Name: "C", NsPerOp: 300_000}, {Name: "X", NsPerOp: x},
+		}, nil)
+		tr.Repeat = 1
+		return tr
+	}
+	if c := Compare(three(50_000), three(65_000), th); !findDelta(t, c, "X ns/op").Regression {
+		t.Fatalf("shared-bench regression skipped: %+v", c)
+	}
+}
+
 func TestCompareMissingBench(t *testing.T) {
 	old := mkTraj([]Result{
 		{Name: "Kept", NsPerOp: 50_000},

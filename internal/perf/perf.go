@@ -199,6 +199,7 @@ func (s *Suite) Run(opt RunOptions) (*Trajectory, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
+	tr.Repeat = rounds
 	for round := 0; round < rounds; round++ {
 		for i, b := range selected {
 			roundOpt := opt

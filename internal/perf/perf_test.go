@@ -109,6 +109,9 @@ func TestRunRepeatKeepsMinimum(t *testing.T) {
 	if al.AllocsPerOp != 1 {
 		t.Fatalf("Alloc allocs/op %d, want 1", al.AllocsPerOp)
 	}
+	if tr.Repeat != 3 {
+		t.Fatalf("trajectory records repeat %d, want 3", tr.Repeat)
+	}
 }
 
 func TestRunProfileCapture(t *testing.T) {

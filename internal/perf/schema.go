@@ -128,12 +128,29 @@ type Trajectory struct {
 	Schema int    `json:"schema"`
 	Label  string `json:"label,omitempty"`
 	Env    Env    `json:"env"`
+	// Repeat is the number of measurement rounds each result is the
+	// minimum of (RunOptions.Repeat). Zero in files written before the
+	// field existed; see samples.
+	Repeat int `json:"repeat,omitempty"`
 	// Results holds the raw measurements in suite registration order.
 	Results []Result `json:"results"`
 	// Derived holds cross-benchmark metrics (ratios and rates) that stay
 	// comparable across machines: engine_events_per_sec,
 	// cached_solve_speedup, obs_enabled_overhead_pct, ...
 	Derived map[string]float64 `json:"derived,omitempty"`
+}
+
+// legacyRepeat is the min-of-K behind trajectories that predate the
+// Repeat field: `bwsched bench` has always defaulted to -repeat 3.
+const legacyRepeat = 3
+
+// samples is the number of rounds each of t's ns/op values is the
+// minimum of.
+func (t *Trajectory) samples() int {
+	if t.Repeat == 0 {
+		return legacyRepeat
+	}
+	return t.Repeat
 }
 
 // Result returns the named raw result.

@@ -211,6 +211,42 @@ func Default() *perf.Suite {
 		}
 	}})
 
+	// SchedBuildLargePsi is the Figure-3 construction at scale: the
+	// schedule of compute-limited-25-s1, whose bunches run to ~10⁶ slots,
+	// built from a fixed solve. Its allocs/op pin the merge into
+	// pointer-free slots (one flat pattern slice per node, nothing per
+	// slot).
+	s.Register(perf.Bench{Name: "SchedBuildLargePsi", Short: true, Fn: func(b *testing.B) {
+		res := bwc.Solve(treegen.Generate(treegen.ComputeLimited, 25, 1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bwc.BuildSchedule(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+
+	// AnalyzeLargePsi is a timed analyze on seti-25-s1 from a primed
+	// Session: the horizon (about 300 tasks) ends long before the root's
+	// ~10⁶-slot period does, so the cost is the run, not the walk over
+	// the rest of the period.
+	s.Register(perf.Bench{Name: "AnalyzeLargePsi", Short: true, Fn: func(b *testing.B) {
+		tr := treegen.Generate(treegen.SETI, 25, 1)
+		sess := bwc.NewSession()
+		if _, err := sess.BuildSchedule(tr); err != nil {
+			b.Fatal(err)
+		}
+		stop := bwc.WithStop(bwc.RatInt(300).Div(sess.Solve(tr).Throughput).Ceil())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.Analyze(tr, stop); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+
 	// DistributedSolve is the E9 protocol-cost point at n=100: one full
 	// bandwidth-centric negotiation wave over a compute-limited platform.
 	s.Register(perf.Bench{Name: "DistributedSolve", Fn: func(b *testing.B) {
@@ -333,11 +369,15 @@ func Thresholds() perf.Thresholds {
 	// contended host their min-of-K still spikes 20%+ while their twin
 	// bench sits still, so a tight ns gate on them measures the
 	// scheduler, not the code. Their real regression signal is portable:
-	// allocs/op plus the obs_* derived gates above.
+	// allocs/op plus the obs_* derived gates above. The large-Ψ benches
+	// allocate 3–28 MB per op, so their time swings with the collector
+	// the same way; they exist to gate allocs/op.
 	th.PerBench = map[string]float64{
-		"ObsDisabled": 0.25,
-		"ObsEnabled":  0.25,
-		"ObsOverhead": 0.25,
+		"ObsDisabled":        0.25,
+		"ObsEnabled":         0.25,
+		"ObsOverhead":        0.25,
+		"SchedBuildLargePsi": 0.25,
+		"AnalyzeLargePsi":    0.25,
 	}
 	return th
 }

@@ -25,9 +25,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"bwc/internal/bwfirst"
@@ -42,14 +43,31 @@ type Dest int
 // node's children in insertion order.
 const Self Dest = -1
 
-// Slot is one entry of a node's interleaved allocation pattern.
+// Slot is one entry of a node's interleaved allocation pattern. It holds
+// no pointers, so a pattern of Ψ slots is one flat allocation the garbage
+// collector never scans.
 type Slot struct {
 	// Dest says where the task handled by this slot goes.
 	Dest Dest
-	// Pos is the slot's position in the unit interval (the k/(ψ_d+1)
-	// construction of Figure 3). Scaled by T^w it is the slot's nominal
-	// time offset within a steady-state period.
-	Pos rat.R
+	// K and Of give the slot's position K/Of in the unit interval, not
+	// reduced: the k/(ψ_d+1) construction of Figure 3 (block patterns use
+	// i/(Ψ+1)). 0 < K < Of.
+	K, Of int64
+}
+
+// Pos is the slot's position in the unit interval. Scaled by T^w it is
+// the slot's nominal time offset within a steady-state period.
+func (s Slot) Pos() rat.R { return rat.New(s.K, s.Of) }
+
+// posCmp compares the positions of a and b exactly by cross-multiplying
+// into 128-bit products (K and Of are positive).
+func posCmp(a, b *Slot) int {
+	ah, al := bits.Mul64(uint64(a.K), uint64(b.Of))
+	bh, bl := bits.Mul64(uint64(b.K), uint64(a.Of))
+	if ah != bh {
+		return cmp.Compare(ah, bh)
+	}
+	return cmp.Compare(al, bl)
 }
 
 // NodeSchedule is the compact, self-contained description of one node's
@@ -317,36 +335,61 @@ func destCounts(ns *NodeSchedule) []destCount {
 	return ds
 }
 
-// interleavePattern implements the Figure-3 strategy.
+// before is the bunch order: smaller position, then smaller ψ (the
+// contested task goes to the sparser stream), then smaller index (Self
+// first).
+func before(a, b *Slot) bool {
+	if c := posCmp(a, b); c != 0 {
+		return c < 0
+	}
+	if a.Of != b.Of {
+		return a.Of < b.Of
+	}
+	return a.Dest < b.Dest
+}
+
+// interleavePattern implements the Figure-3 strategy. Each destination's
+// run of positions k/(ψ_d+1), k = 1..ψ_d, is already sorted, so the bunch
+// is their merge: a min-heap holds each destination's next slot, and Ψ
+// pops over at most children+1 runs replace a sort of Ψ positions.
 func interleavePattern(ns *NodeSchedule) []Slot {
 	ds := destCounts(ns)
-	total := 0
-	for _, d := range ds {
-		total += int(d.psi)
+	h := make([]Slot, len(ds))
+	total := int64(0)
+	for i, d := range ds {
+		h[i] = Slot{Dest: d.dest, K: 1, Of: d.psi + 1}
+		total += d.psi
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
 	slots := make([]Slot, 0, total)
-	for _, d := range ds {
-		den := d.psi + 1
-		for k := int64(1); k <= d.psi; k++ {
-			slots = append(slots, Slot{Dest: d.dest, Pos: rat.New(k, den)})
+	for len(h) > 0 {
+		slots = append(slots, h[0])
+		if h[0].K++; h[0].K == h[0].Of {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftDown(h, 0)
 	}
-	psiOf := make(map[Dest]int64, len(ds))
-	for _, d := range ds {
-		psiOf[d.dest] = d.psi
-	}
-	sort.SliceStable(slots, func(i, j int) bool {
-		c := slots[i].Pos.Cmp(slots[j].Pos)
-		if c != 0 {
-			return c < 0
-		}
-		pi, pj := psiOf[slots[i].Dest], psiOf[slots[j].Dest]
-		if pi != pj {
-			return pi < pj // smaller ψ wins the contested task
-		}
-		return slots[i].Dest < slots[j].Dest // then smaller index (Self=-1 first)
-	})
 	return slots
+}
+
+func siftDown(h []Slot, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && before(&h[l], &h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && before(&h[r], &h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // blockPattern hands each destination all of its tasks consecutively (the
@@ -362,7 +405,7 @@ func blockPattern(ns *NodeSchedule) []Slot {
 	i := int64(0)
 	for _, d := range ds {
 		for k := int64(0); k < d.psi; k++ {
-			slots = append(slots, Slot{Dest: d.dest, Pos: rat.New(i+1, total+1)})
+			slots = append(slots, Slot{Dest: d.dest, K: i + 1, Of: total + 1})
 			i++
 		}
 	}
@@ -470,28 +513,41 @@ func (s *Schedule) CheckInvariants() error {
 		if !chiIn.IsInt() || !chiIn.Equal(chiSum) {
 			return fmt.Errorf("node %s: Prop 3 violated: χ_{-1}=%s Σχ=%s", name, chiIn, chiSum)
 		}
-		// Pattern: right multiset of destinations, sorted positions.
-		if ns.Pattern != nil {
-			counts := map[Dest]int64{}
-			last := rat.Zero
-			for _, sl := range ns.Pattern {
-				counts[sl.Dest]++
-				if sl.Pos.Less(last) {
-					return fmt.Errorf("node %s: pattern positions not monotone", name)
-				}
-				last = sl.Pos
-				if !sl.Pos.IsPos() || !sl.Pos.Less(rat.One) {
-					return fmt.Errorf("node %s: pattern position %s outside (0,1)", name, sl.Pos)
-				}
-			}
-			if counts[Self] != ns.Psi0.Int64() {
-				return fmt.Errorf("node %s: pattern has %d self slots, want %s", name, counts[Self], ns.Psi0)
-			}
-			for j, p := range ns.Psi {
-				if counts[Dest(j)] != p.Int64() {
-					return fmt.Errorf("node %s: pattern has %d slots for child %d, want %s", name, counts[Dest(j)], j, p)
-				}
-			}
+		if err := checkPattern(ns); err != nil {
+			return fmt.Errorf("node %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// checkPattern validates a materialized pattern: positions inside (0,1)
+// and monotone, and the right multiset of destinations. Integer-only:
+// counts[0] is Self, counts[j+1] child j.
+func checkPattern(ns *NodeSchedule) error {
+	if ns.Pattern == nil {
+		return nil
+	}
+	counts := make([]int64, len(ns.Psi)+1)
+	last := Slot{Of: 1} // position 0
+	for _, sl := range ns.Pattern {
+		if sl.K <= 0 || sl.K >= sl.Of {
+			return fmt.Errorf("pattern position %d/%d outside (0,1)", sl.K, sl.Of)
+		}
+		if posCmp(&sl, &last) < 0 {
+			return fmt.Errorf("pattern positions not monotone")
+		}
+		last = sl
+		if sl.Dest < Self || int(sl.Dest) >= len(ns.Psi) {
+			return fmt.Errorf("pattern slot for unknown destination %d", sl.Dest)
+		}
+		counts[sl.Dest+1]++
+	}
+	if counts[0] != ns.Psi0.Int64() {
+		return fmt.Errorf("pattern has %d self slots, want %s", counts[0], ns.Psi0)
+	}
+	for j, p := range ns.Psi {
+		if counts[j+1] != p.Int64() {
+			return fmt.Errorf("pattern has %d slots for child %d, want %s", counts[j+1], j, p)
 		}
 	}
 	return nil

@@ -13,7 +13,8 @@ import (
 // Figure-3 interleave: slots whose positions k/(ψ_d+1) coincide go to
 // the destination with the smaller ψ, and at equal ψ to the smaller
 // index (Self = -1 before child 0 before child 1, the insertion order of
-// the children).
+// the children). Each case also matches the sort-based reference slot
+// for slot.
 func TestTieBreakTable(t *testing.T) {
 	n := func(v int64) *big.Int { return big.NewInt(v) }
 	cases := []struct {
@@ -50,6 +51,19 @@ func TestTieBreakTable(t *testing.T) {
 			want: []Dest{Self, 0},
 		},
 		{
+			// ψ = (1, 3) both place a slot at 1/2: the node's single
+			// task takes it, the ψ=3 child's 2/4 follows.
+			name: "half-contested-self-sparser",
+			ns:   &NodeSchedule{Psi0: n(1), Psi: []*big.Int{n(3)}},
+			want: []Dest{0, Self, 0, 0},
+		},
+		{
+			// Equal ψ everywhere: every position is a three-way tie.
+			name: "equal-psi-all-three",
+			ns:   &NodeSchedule{Psi0: n(2), Psi: []*big.Int{n(2), n(2)}},
+			want: []Dest{Self, 0, 1, Self, 0, 1},
+		},
+		{
 			// Three-way collision at 1/2 resolves ψ first, then index:
 			// the two ψ=1 streams (Self before child 0) precede the ψ=3
 			// child's contested slot.
@@ -60,7 +74,9 @@ func TestTieBreakTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := patternDests(interleavePattern(tc.ns))
+			pattern := interleavePattern(tc.ns)
+			assertSamePattern(t, tc.name, pattern, sortedInterleave(tc.ns))
+			got := patternDests(pattern)
 			if len(got) != len(tc.want) {
 				t.Fatalf("pattern = %v, want %v", got, tc.want)
 			}

@@ -8,6 +8,7 @@ import (
 	"bwc"
 	apiv1 "bwc/api/v1"
 	"bwc/internal/obs"
+	"bwc/internal/tree"
 )
 
 // shard is the LRU-bounded session fleet: one bwc.Session per platform
@@ -101,12 +102,14 @@ func (sh *shard) Get(t *bwc.Tree) (sess *bwc.Session, fp string, reprimed bool) 
 		reprimed = true
 	} else if g, old, ok := sh.findShapeGhostLocked(t); ok {
 		// Same shape, drifted weights: carry the retained result onto
-		// the mutated platform along the dirty spine.
+		// the mutated platform along the dirty spine. The ghost is
+		// consumed only when the carry succeeded; otherwise it stays
+		// for its own platform's re-admission.
 		sess.Prime(g.tree, g.res)
 		if sess.InvalidateDelta(g.tree, t) != nil {
 			reprimed = true
+			sh.dropGhostLocked(old)
 		}
-		sh.dropGhostLocked(old)
 	}
 	e := &shardEntry{fp: fp, tree: t, sess: sess}
 	e.elem = sh.order.PushFront(e)
@@ -129,12 +132,15 @@ func (sh *shard) Lookup(fp string) (*bwc.Session, *bwc.Tree, bool) {
 	return e.sess, e.tree, true
 }
 
-// findShapeGhostLocked scans the retained ghosts for one whose platform
-// has the same size as t (the cheap precondition of a weight-delta
-// re-prime; DiffWeights inside InvalidateDelta does the exact check).
+// findShapeGhostLocked returns the most recently evicted ghost whose
+// platform has t's shape (same names, parents and switch flags), the
+// precondition of a weight-delta re-prime. Walking gorder makes the
+// choice deterministic.
 func (sh *shard) findShapeGhostLocked(t *bwc.Tree) (ghost, string, bool) {
-	for fp, g := range sh.ghosts {
-		if g.tree.Len() == t.Len() {
+	for el := sh.gorder.Front(); el != nil; el = el.Next() {
+		fp := el.Value.(string)
+		g := sh.ghosts[fp]
+		if _, err := tree.DiffWeights(g.tree, t); err == nil {
 			return g, fp, true
 		}
 	}

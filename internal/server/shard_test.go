@@ -92,6 +92,83 @@ func TestShardRepriveIncremental(t *testing.T) {
 	}
 }
 
+// TestShardUnrelatedSameSizeKeepsGhost: cold submits of platforms that
+// merely have an evicted platform's node count — concurrently, under
+// -race — must not consume its ghost, so the evicted platform's own
+// later re-admission still re-primes warm.
+func TestShardUnrelatedSameSizeKeepsGhost(t *testing.T) {
+	// Capacity 2 bounds ghosts too: a's ghost plus the one unrelated
+	// platform the three submits below evict.
+	sh := newShard(2, nil)
+	a := mustParse(t, platA)
+	sessA, _, _ := sh.Get(a)
+	sessA.SolveCached(a)
+	sh.Get(mustParse(t, platB))
+	sh.Get(mustParse(t, platC)) // evicts a with its solved ghost
+
+	unrelated := []string{
+		"S0 - - 5\nS1 S0 1 2\nS2 S0 3 4\n",
+		"T0 - - 7\nT1 T0 2 5\nT2 T1 1 3\n", // a chain, not a star
+		"U0 - - 2\nU1 U0 1 1\nU2 U0 1 1\n",
+	}
+	var wg sync.WaitGroup
+	for _, text := range unrelated {
+		u := mustParse(t, text)
+		if u.Len() != a.Len() {
+			t.Fatalf("fixture %q has %d nodes, want %d", text, u.Len(), a.Len())
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess, _, reprimed := sh.Get(u)
+			if reprimed {
+				t.Errorf("unrelated platform %s reported reprimed", u.Name(u.Root()))
+			}
+			if _, cached := sess.SolveCached(u); cached {
+				t.Errorf("unrelated platform %s solved warm", u.Name(u.Root()))
+			}
+		}()
+	}
+	wg.Wait()
+
+	sessA2, _, reprimed := sh.Get(a)
+	if !reprimed {
+		t.Fatal("evicted platform's ghost was consumed by an unrelated submit")
+	}
+	if _, cached := sessA2.SolveCached(a); !cached {
+		t.Fatal("re-admitted platform solved cold")
+	}
+}
+
+// TestShardShapeGhostMostRecentFirst: with two same-shape ghosts, a
+// drifted re-admission carries the most recently evicted one and leaves
+// the other in place.
+func TestShardShapeGhostMostRecentFirst(t *testing.T) {
+	sh := newShard(2, nil)
+	a, aMut := mustParse(t, platA), mustParse(t, platAMut)
+	for _, tr := range []*bwc.Tree{a, aMut} {
+		sess, _, _ := sh.Get(tr)
+		sess.SolveCached(tr)
+	}
+	sh.Get(mustParse(t, platB))
+	sh.Get(mustParse(t, platC)) // ghosts now: aMut (most recent), a
+
+	aMut2 := mustParse(t, "P0 - - 9\nP1 P0 2 8\nP2 P0 2 5\n")
+	sess, _, reprimed := sh.Get(aMut2)
+	if !reprimed {
+		t.Fatal("drifted re-admission not reprimed")
+	}
+	if res, cached := sess.SolveCached(aMut2); !cached || !res.Throughput.Equal(bwc.Solve(aMut2).Throughput) {
+		t.Fatalf("incremental carry cached=%v", cached)
+	}
+	if _, _, reprimed := sh.Get(a); !reprimed {
+		t.Fatal("older same-shape ghost consumed instead of the most recent one")
+	}
+	if _, _, reprimed := sh.Get(aMut); reprimed {
+		t.Fatal("most recent ghost survived its consumption")
+	}
+}
+
 // TestShardInFlightSolveSurvivesEviction: eviction only unhooks the
 // Session from the shard map — a handler that already holds the pointer
 // completes its solve and reads a correct result.

@@ -204,7 +204,9 @@ func SimulateDynamic(opt DynOptions) (*DynRun, error) {
 }
 
 // genPhase releases the root's tasks for one phase window [start, until)
-// using the phase schedule's pacing, anchored at the phase start.
+// using the phase schedule's pacing, anchored at the phase start. Release
+// instants are monotone in the slot index, so the walk ends at the first
+// slot at or past until.
 func (sm *simulator) genPhase(pacer *engine.Pacer, start, until rat.R, p int64) {
 	base := start.Add(pacer.PeriodStart(p))
 	if !base.Less(until) {
@@ -213,7 +215,7 @@ func (sm *simulator) genPhase(pacer *engine.Pacer, start, until rat.R, p int64) 
 	for i := 0; i < pacer.Len(); i++ {
 		at := start.Add(pacer.At(p, i))
 		if !at.Less(until) {
-			continue
+			break
 		}
 		dest := pacer.Dest(i)
 		sm.eng.At(at, func() {

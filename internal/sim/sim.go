@@ -496,7 +496,9 @@ func smallInt(v uint64) string {
 
 // schedulePeriod releases the root's period-p slots that fall before Stop
 // (or until the Tasks budget is exhausted), then chains the next period
-// lazily. released counts slots scheduled so far in Tasks mode.
+// lazily. released counts slots scheduled so far in Tasks mode. Release
+// instants are monotone in the slot index, so the walk ends at the first
+// slot at or past Stop.
 func (sm *simulator) schedulePeriod(p, released int64) {
 	base := sm.pacer.PeriodStart(p)
 	timed := sm.opt.Tasks == 0
@@ -506,7 +508,7 @@ func (sm *simulator) schedulePeriod(p, released int64) {
 	for i := 0; i < sm.pacer.Len(); i++ {
 		at := sm.pacer.At(p, i)
 		if timed && !at.Less(sm.opt.Stop) {
-			continue
+			break
 		}
 		if !timed {
 			if released >= int64(sm.opt.Tasks) {
