@@ -114,14 +114,12 @@ type (
 	Trace = trace.Trace
 	// DemandOptions configures the demand-driven comparator protocol.
 	DemandOptions = kreaseck.Options
-	// DynOptions configures a dynamic (multi-phase) simulation.
-	DynOptions = sim.DynOptions
-	// DynPhase activates a schedule at a point in virtual time.
+	// DynPhase activates a schedule at a point in virtual time
+	// (SimOptions.Phases).
 	DynPhase = sim.Phase
-	// DynPhysics swaps the platform weights at a point in virtual time.
+	// DynPhysics swaps the platform weights at a point in virtual time
+	// (SimOptions.Physics).
 	DynPhysics = sim.PhysicsChange
-	// DynRun is the result of a dynamic simulation.
-	DynRun = sim.DynRun
 	// ExecuteConfig configures a real goroutine-backed execution of a
 	// schedule (wall-clock, not simulated).
 	ExecuteConfig = runtime.Config
@@ -252,19 +250,6 @@ func AnalyzeRun(run *Run, opts ...Option) *HealthReport {
 	return analyze.Analyze(analyze.FromScope(run.Obs), o)
 }
 
-// AnalyzeDynamicRun checks an observed dynamic simulation against one
-// schedule's expectations — pass the schedule the run was *supposed* to
-// conform to (typically the last phase's). A run whose physics degraded
-// under a stale schedule fails the throughput and buffer checks; that is
-// the detector the Section 5 adaptation loop needs.
-func AnalyzeDynamicRun(run *DynRun, s *Schedule, opts ...Option) *HealthReport {
-	o := buildCfg(opts).buildAnalyzeOptions()
-	if o.Schedule == nil {
-		o.Schedule = s
-	}
-	return analyze.Analyze(analyze.FromScope(run.Obs), o)
-}
-
 // AnalyzeObserver analyzes whatever evidence a live Observer holds (e.g.
 // one attached to Execute). Wall-clock runs carry link spans and
 // counters, so the exact-timing checks degrade to SKIP.
@@ -375,16 +360,13 @@ func QuantizeSchedule(res *Result, den int64, opts ...Option) (*Schedule, Ration
 // start-up from empty buffers, wind-down after the horizon. Exactly one
 // of WithStop / WithPeriods / WithTasks must set the horizon;
 // WithObserver instruments the run and WithSimOptions seeds the rarer
-// knobs (BurstRoot, MaxEvents).
+// knobs (BurstRoot, MaxEvents) and the mid-run changes: SimOptions.Phases
+// switches schedules and SimOptions.Physics the platform's weights at
+// given instants, measuring the paper's open question about
+// re-negotiation overhead (Section 5 / future work).
 func Simulate(s *Schedule, opts ...Option) (*Run, error) {
 	return sim.Simulate(s, buildCfg(opts).buildSimOptions())
 }
-
-// SimulateDynamic runs a multi-phase simulation: the platform's physics
-// and the deployed schedules may change at different moments, measuring
-// the paper's open question about re-negotiation overhead (Section 5 /
-// future work).
-func SimulateDynamic(opt DynOptions) (*DynRun, error) { return sim.SimulateDynamic(opt) }
 
 // Execute runs a batch as a real concurrent Master-Worker application:
 // goroutines per node, channels as links, wall-clock pacing scaled by

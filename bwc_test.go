@@ -370,19 +370,15 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := bwc.SimulateDynamic(bwc.DynOptions{
-		Phases: []bwc.DynPhase{
-			{At: bwc.RatInt(0), Schedule: full},
-			{At: bwc.RatInt(100), Schedule: sAfter},
-		},
-		Physics:       []bwc.DynPhysics{{At: bwc.RatInt(80), Tree: after}},
-		Stop:          bwc.RatInt(200),
-		SkipIntervals: true,
-	})
+	dyn, err := bwc.Simulate(full, bwc.WithStop(bwc.RatInt(200)), bwc.WithSkipIntervals(),
+		bwc.WithSimOptions(bwc.SimOptions{
+			Phases:  []bwc.DynPhase{{At: bwc.RatInt(100), Schedule: sAfter}},
+			Physics: []bwc.DynPhysics{{At: bwc.RatInt(80), Tree: after}},
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dyn.Generated != dyn.Completed+dyn.Dropped {
+	if st := dyn.Stats; st.Generated != st.Completed+st.Dropped {
 		t.Fatal("dynamic conservation")
 	}
 	// Upgrades through the facade.
@@ -417,8 +413,8 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 
 // TestFacadeAnalyze drives the conformance loop through the public API:
 // an observed simulation passes AnalyzeRun, a trace export round-trips
-// through AnalyzeTrace, a degraded-link dynamic run fails
-// AnalyzeDynamicRun, and ServeObserverHealth serves live verdicts.
+// through AnalyzeTrace, a degraded-link run fails AnalyzeRun, and
+// ServeObserverHealth serves live verdicts.
 func TestFacadeAnalyze(t *testing.T) {
 	tr := bwc.PaperExampleTree()
 	s, err := bwc.BuildSchedule(bwc.Solve(tr))
@@ -461,16 +457,12 @@ func TestFacadeAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	ob2 := bwc.NewObserver()
-	dyn, err := bwc.SimulateDynamic(bwc.DynOptions{
-		Phases:  []bwc.DynPhase{{Schedule: s}},
-		Physics: []bwc.DynPhysics{{Tree: slow}},
-		Stop:    bwc.RatInt(360),
-		Obs:     ob2,
-	})
+	dyn, err := bwc.Simulate(s, bwc.WithStop(bwc.RatInt(360)), bwc.WithObserver(ob2),
+		bwc.WithSimOptions(bwc.SimOptions{Physics: []bwc.DynPhysics{{Tree: slow}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := bwc.AnalyzeDynamicRun(dyn, s, bwc.WithStop(bwc.RatInt(360)))
+	bad := bwc.AnalyzeRun(dyn)
 	if bad.Healthy() {
 		t.Fatal("degraded link went undetected through the facade")
 	}

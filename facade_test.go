@@ -93,6 +93,28 @@ func TestDetectDriftSentinel(t *testing.T) {
 	}
 }
 
+// TestSimulateChurnDetectOnly: with adaptation disabled, the churn
+// controller's first drift surfaces as ErrScheduleStale with zero
+// adaptations, as it does for the adaptive controller.
+func TestSimulateChurnDetectOnly(t *testing.T) {
+	tr := bwc.PaperExampleTree()
+	s, err := bwc.BuildSchedule(bwc.Solve(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := bwc.SimulateChurn(s,
+		bwc.WithChurn(bwc.ChurnConfig{Seed: 6, Rate: 3}),
+		bwc.WithStop(bwc.RatInt(600)),
+		bwc.WithDetectOnly(),
+	)
+	if !errors.Is(err, bwc.ErrScheduleStale) || errors.Is(err, bwc.ErrAdaptTimeout) {
+		t.Fatalf("SimulateChurn detect-only = %v, want ErrScheduleStale", err)
+	}
+	if rep == nil || len(rep.Adaptations) != 0 {
+		t.Fatalf("detect-only churn run adapted: %+v", rep)
+	}
+}
+
 // TestErrNotATreeSentinel: structural platform errors — from the text
 // parser and from the builder — classify as ErrNotATree.
 func TestErrNotATreeSentinel(t *testing.T) {

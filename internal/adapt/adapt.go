@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -92,10 +93,6 @@ func (o Options) detector() *Detector {
 	return &Detector{Threshold: o.Threshold, BufferSlack: o.BufferSlack, Consecutive: o.Consecutive}
 }
 
-func (o Options) resilient() proto.ResilientOptions {
-	return proto.ResilientOptions{Timeout: o.Timeout, Backoff: o.Backoff, Retries: o.Retries}
-}
-
 // windowFor resolves the detection window for a schedule.
 func (o Options) windowFor(s *sched.Schedule) (rat.R, error) {
 	if o.Window.IsPos() {
@@ -138,11 +135,12 @@ type Adaptation struct {
 	Schedule *sched.Schedule
 }
 
-// SimReport is the outcome of one SimulateAdaptive run.
+// SimReport is the outcome of one simulated controller run
+// (SimulateAdaptive; SimulateChurn embeds it).
 type SimReport struct {
 	// Run is the final verification run: the full timeline with every
 	// adaptation applied.
-	Run *sim.DynRun
+	Run *sim.Run
 	// Adaptations lists the detect/re-solve/swap cycles, in order.
 	Adaptations []Adaptation
 	// Pre analyzes the regime before the first swap under the original
@@ -158,6 +156,13 @@ type SimReport struct {
 	// Stop is the verification horizon actually simulated (≥ the
 	// requested Stop when the last swap needed more room to verify).
 	Stop rat.R
+	// Log is the deterministic event log: identical inputs reproduce it
+	// byte for byte.
+	Log []string
+}
+
+func (r *SimReport) logf(format string, a ...any) {
+	r.Log = append(r.Log, fmt.Sprintf(format, a...))
 }
 
 // FinalSchedule returns the schedule active at the end of the run.
@@ -178,65 +183,136 @@ func (r *SimReport) FinalSchedule() *sched.Schedule {
 // each iteration extends the previous timeline exactly.
 //
 // Detection-only mode (DetectOnly) returns ErrScheduleStale on the first
-// drift. A run whose drift persists after MaxAdapts re-solves returns
-// ErrAdaptTimeout.
+// drift. A run whose drift persists after MaxAdapts re-solves, or fires
+// too late to swap before Stop, returns ErrAdaptTimeout.
 func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
-	if s == nil || s.Tree == nil || s.Tree.Len() == 0 {
-		return nil, fmt.Errorf("adapt: no schedule")
-	}
-	if !opt.Stop.IsPos() {
-		return nil, fmt.Errorf("adapt: Stop must be positive")
+	if err := checkInput(s, opt); err != nil {
+		return nil, err
 	}
 	opt = opt.withDefaults(1 << 20)
-	base := s.Tree
-	physics, err := Timeline(base, opt.Faults, rat.FromInt(opt.CrashFactor))
+	physics, err := Timeline(s.Tree, opt.Faults, rat.FromInt(opt.CrashFactor))
 	if err != nil {
 		return nil, err
 	}
+	rep := &SimReport{}
+	return rep, adaptLoop(s, opt, physics, rep, full{opt})
+}
 
-	rep := &SimReport{Stop: opt.Stop}
-	phases := []sim.Phase{{At: rat.Zero, Schedule: s}}
+func checkInput(s *sched.Schedule, opt Options) error {
+	if s == nil || s.Tree == nil || s.Tree.Len() == 0 {
+		return fmt.Errorf("adapt: no schedule")
+	}
+	if !opt.Stop.IsPos() {
+		return fmt.Errorf("adapt: Stop must be positive")
+	}
+	return nil
+}
+
+// policy is the re-solve half of the adaptation loop: how a confirmed
+// drift becomes the next schedule and how that schedule is installed.
+// adaptLoop owns everything else — detection, the swap boundary, the
+// drain pause, the phase list, the events and log lines it shares, and
+// the verification run.
+type policy interface {
+	// resolve answers a drift on the measured platform; an error aborts
+	// the run.
+	resolve(d Drift, measured *tree.Tree, window rat.R) (step, error)
+	// changed lists the nodes whose cursors installing next over prev
+	// resets; nil installs next in full.
+	changed(prev, next *sched.Schedule) []tree.NodeID
+	// swapped records an installed adaptation and its delta.
+	swapped(ad Adaptation, changed []tree.NodeID)
+	// late handles a drift with no swap boundary before the horizon (err
+	// wraps ErrAdaptTimeout): an error aborts the run, nil verifies the
+	// timeline as it stands.
+	late(d Drift, err error) error
+	// finish completes the report after the verification run.
+	finish()
+}
+
+// step is a policy's answer to one drift: the adaptation to install
+// (the loop fills in Drift, SwapAt and ResumeAt) or, when the re-solve
+// failed (nil Schedule), either the instant before which the regime is
+// not scanned again or the error that ends the run once the timeline as
+// it stands is verified.
+type step struct {
+	ad      Adaptation
+	retryAt rat.R
+	halt    error
+}
+
+// adaptLoop is the closed loop of the simulated controllers: simulate
+// the grown timeline, scan the active regime for drift, classify it
+// (detect-only → ErrScheduleStale, exhausted budget → ErrAdaptTimeout),
+// re-solve on the measured platform through pol, and hot-swap the result
+// at the next root period boundary; repeat until no drift remains, then
+// verify the final regime.
+func adaptLoop(s *sched.Schedule, opt Options, physics []sim.PhysicsChange, rep *SimReport, pol policy) error {
+	rep.Stop = opt.Stop
+	for _, f := range opt.Faults {
+		rep.logf("fault %s", f)
+	}
+	var phases []sim.Phase // activations after t=0
 	segStart := rat.Zero
 	active := s
 	// settle is the absolute time before which the active regime is not
 	// yet owed its steady state (its Proposition 4 start-up bound past
 	// the instant it began releasing).
 	settle := s.MaxStartupBound()
+	// ev is the evidence of the current timeline; a retry re-scans it
+	// with a later settle instead of re-simulating an unchanged timeline.
+	var ev *analyze.Evidence
+	var halt error
 
 	for {
-		run, err := simulateOnce(phases, physics, opt.Stop)
-		if err != nil {
-			return nil, err
+		if ev == nil {
+			run, err := simulateOnce(s, phases, physics, opt.Stop)
+			if err != nil {
+				return err
+			}
+			ev = analyze.FromScope(run.Obs)
 		}
 		window, err := opt.windowFor(active)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		drift, found := scan(analyze.FromScope(run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
+		drift, found := scan(ev, active, segStart, settle, opt.Stop, window, opt.detector())
 		if !found {
 			break
 		}
-		opt.Obs.Emit("drift",
-			obs.A("at", drift.At.String()),
-			obs.A("node", drift.Window.WorstNode),
-			obs.A("ratio", fmt.Sprintf("%.3f", drift.Window.MinRatio)))
+		emitDrift(opt.Obs, drift)
+		rep.logf("drift t=%s node=%s ratio=%.3f", drift.At, drift.Window.WorstNode, drift.Window.MinRatio)
 		// The engine classifies confirmed drift (exact detection instant:
 		// the simulated evidence is replayed, so t is not approximate).
 		if opt.MaxAdapts == 0 {
-			return rep, engine.StaleDrift(drift.At, false, drift.Window.WorstNode, drift.Window.MinRatio)
+			return engine.StaleDrift(drift.At, false, drift.Window.WorstNode, drift.Window.MinRatio)
 		}
 		if len(rep.Adaptations) >= opt.MaxAdapts {
-			return rep, engine.AdaptExhausted(drift.At, false, len(rep.Adaptations))
+			return engine.AdaptExhausted(drift.At, false, len(rep.Adaptations))
 		}
 
-		measured := physicsAt(base, physics, drift.At)
-		next, pr, err := resolve(measured, CrashedBefore(opt.Faults, drift.At), opt)
+		measured := physicsAt(s.Tree, physics, drift.At)
+		st, err := pol.resolve(drift, measured, window)
 		if err != nil {
-			return rep, err
+			return err
+		}
+		if st.halt != nil {
+			halt = st.halt
+			break
+		}
+		if st.ad.Schedule == nil {
+			settle = st.retryAt
+			continue
 		}
 		swapAt, err := nextBoundary(active, segStart, drift.At, opt.Stop)
 		if err != nil {
-			return rep, err
+			if errors.Is(err, bwcerr.ErrAdaptTimeout) {
+				err = pol.late(drift, err)
+			}
+			if err != nil {
+				return err
+			}
+			break
 		}
 		// The stale regime kept releasing at its old rate onto the faulted
 		// platform, piling transfers onto the root's send port. Mirror the
@@ -244,50 +320,92 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 		// boundary long enough for the backlog to clear, then start the
 		// new schedule from a clean port.
 		drain := drainBound(active, measured, swapAt.Sub(segStart))
-		resumeAt := swapAt
+		resumeAt, installed := swapAt, active
 		if drain.IsPos() {
-			phases = append(phases, sim.Phase{At: swapAt, Schedule: pauseSchedule(active)})
-			resumeAt = swapAt.Add(drain)
+			pause := pauseSchedule(active)
+			phases = append(phases, sim.Phase{At: swapAt, Schedule: pause, Changed: pol.changed(active, pause)})
+			resumeAt, installed = swapAt.Add(drain), pause
 		}
-		phases = append(phases, sim.Phase{At: resumeAt, Schedule: next})
-		rep.Adaptations = append(rep.Adaptations, Adaptation{
-			Drift:      drift,
-			SwapAt:     swapAt,
-			ResumeAt:   resumeAt,
-			Throughput: pr.Throughput,
-			Messages:   pr.Messages,
-			Visited:    pr.VisitedCount,
-			Pruned:     prunedNames(pr),
-			Schedule:   next,
-		})
+		next := st.ad.Schedule
+		changed := pol.changed(installed, next)
+		phases = append(phases, sim.Phase{At: resumeAt, Schedule: next, Changed: changed})
+		ad := st.ad
+		ad.Drift, ad.SwapAt, ad.ResumeAt = drift, swapAt, resumeAt
+		rep.Adaptations = append(rep.Adaptations, ad)
+		pol.swapped(ad, changed)
 		opt.Obs.Emit("swap",
 			obs.A("at", swapAt.String()),
 			obs.A("resume", resumeAt.String()),
-			obs.A("throughput", pr.Throughput.String()),
-			obs.A("messages", fmt.Sprint(pr.Messages)))
+			obs.A("throughput", ad.Throughput.String()),
+			obs.A("messages", fmt.Sprint(ad.Messages)))
+		rep.logf("swap t=%s resume=%s", swapAt, resumeAt)
 		settle = resumeAt.Add(next.MaxStartupBound())
-		segStart = resumeAt
-		active = next
+		segStart, active, ev = resumeAt, next, nil
 	}
 
-	if err := verifyAndReport(rep, phases, physics, opt, segStart, s); err != nil {
-		return rep, err
+	verr := verifyAndReport(rep, s, phases, physics, opt, segStart)
+	pol.finish()
+	if verr != nil {
+		return verr
 	}
-	return rep, nil
+	return halt
 }
 
-// verifyAndReport runs the verification pass shared by the adaptive and
-// churn controllers: extend the horizon so the final regime has
-// VerifyPeriods full tree periods past its settle time, re-simulate the
-// grown timeline, and split the evidence at the swap boundaries. The
-// post window starts on the final schedule's tree-period grid (anchored
-// at the last swap) so that per-node steady-state expectations are
-// exact integers.
-func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsChange, opt Options, segStart rat.R, s *sched.Schedule) error {
-	final := phases[len(phases)-1].Schedule
+// emitDrift publishes a confirmed drift on the run's observer.
+func emitDrift(sc *obs.Scope, d Drift) {
+	sc.Emit("drift", obs.A("at", d.At.String()), obs.A("node", d.Window.WorstNode),
+		obs.A("ratio", fmt.Sprintf("%.3f", d.Window.MinRatio)))
+}
+
+// full is SimulateAdaptive's re-solve policy: the resilient distributed
+// negotiation re-runs BW-First over the whole measured platform (crashed
+// nodes pruned by the wave), the new schedule is installed in full, and
+// a drift too late to swap is a timeout.
+type full struct{ opt Options }
+
+func (p full) resolve(d Drift, measured *tree.Tree, _ rat.R) (step, error) {
+	sess := proto.NewSessionObserved(measured, p.opt.Obs)
+	defer sess.Close()
+	for _, name := range CrashedBefore(p.opt.Faults, d.At) {
+		if id, ok := measured.Lookup(name); ok {
+			sess.SetResponsive(id, false)
+		}
+	}
+	pr, err := sess.RunResilient(proto.ResilientOptions{Timeout: p.opt.Timeout, Backoff: p.opt.Backoff, Retries: p.opt.Retries})
+	if err != nil {
+		return step{}, err
+	}
+	if !pr.Throughput.IsPos() {
+		return step{}, fmt.Errorf("adapt: re-negotiated throughput is zero on the measured platform: %w", bwcerr.ErrInfeasible)
+	}
+	next, err := deployable(ResultFromProtocol(pr), p.opt)
+	if err != nil {
+		return step{}, err
+	}
+	ad := Adaptation{Throughput: pr.Throughput, Messages: pr.Messages, Visited: pr.VisitedCount, Schedule: next}
+	for _, pn := range pr.Pruned {
+		ad.Pruned = append(ad.Pruned, pn.Name)
+	}
+	return step{ad: ad}, nil
+}
+
+func (full) changed(_, _ *sched.Schedule) []tree.NodeID { return nil }
+func (full) swapped(Adaptation, []tree.NodeID)          {}
+func (full) late(_ Drift, err error) error              { return err }
+func (full) finish()                                    {}
+
+// verifyAndReport runs the verification pass of the simulated
+// controllers: extend the horizon so the final regime has VerifyPeriods
+// full tree periods past its settle time, re-simulate the grown
+// timeline, and split the evidence at the swap boundaries. The post
+// window starts on the final schedule's tree-period grid (anchored at
+// the last swap) so that per-node steady-state expectations are exact
+// integers.
+func verifyAndReport(rep *SimReport, s *sched.Schedule, phases []sim.Phase, physics []sim.PhysicsChange, opt Options, segStart rat.R) error {
+	final := rep.FinalSchedule()
 	verifyStop := opt.Stop
 	var postFrom, onsetW rat.R
-	if len(rep.Adaptations) > 0 {
+	if final != nil {
 		tp := rat.FromBigInt(final.TreePeriod())
 		if !tp.IsPos() {
 			var err error
@@ -300,14 +418,14 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 		verifyStop = rat.Max(verifyStop, postFrom.Add(tp.Mul(rat.FromInt(opt.VerifyPeriods))))
 		onsetW = tp
 	}
-	run, err := simulateOnce(phases, physics, verifyStop)
+	run, err := simulateOnce(s, phases, physics, verifyStop)
 	if err != nil {
 		return err
 	}
 	rep.Run = run
 	rep.Stop = verifyStop
 	ev := analyze.FromScope(run.Obs)
-	if len(rep.Adaptations) == 0 {
+	if final == nil {
 		rep.Post = analyze.Analyze(ev, analyze.Options{Schedule: s, Stop: verifyStop})
 		rep.Healed = rep.Post.Healthy()
 		return nil
@@ -330,12 +448,12 @@ func DetectOnly(s *sched.Schedule, opt Options) error {
 	return err
 }
 
-// simulateOnce runs the accumulated timeline under a fresh scope.
-func simulateOnce(phases []sim.Phase, physics []sim.PhysicsChange, stop rat.R) (*sim.DynRun, error) {
-	return sim.SimulateDynamic(sim.DynOptions{
+// simulateOnce runs s with the accumulated timeline under a fresh scope.
+func simulateOnce(s *sched.Schedule, phases []sim.Phase, physics []sim.PhysicsChange, stop rat.R) (*sim.Run, error) {
+	return sim.Simulate(s, sim.Options{
+		Stop:    stop,
 		Phases:  phases,
 		Physics: physics,
-		Stop:    stop,
 		Obs:     obs.New(),
 	})
 }
@@ -351,32 +469,17 @@ func physicsAt(base *tree.Tree, physics []sim.PhysicsChange, t rat.R) *tree.Tree
 	return cur
 }
 
-// resolve re-runs the distributed procedure on the measured platform with
-// the crashed nodes fail-stopped, and builds the new schedule.
-func resolve(measured *tree.Tree, crashed []string, opt Options) (*sched.Schedule, *proto.Result, error) {
-	sess := proto.NewSessionObserved(measured, opt.Obs)
-	defer sess.Close()
-	for _, name := range crashed {
-		if id, ok := measured.Lookup(name); ok {
-			sess.SetResponsive(id, false)
-		}
-	}
-	pr, err := sess.RunResilient(opt.resilient())
+// deployable builds the schedule of a re-solve and checks that its root
+// can release.
+func deployable(res *bwfirst.Result, opt Options) (*sched.Schedule, error) {
+	next, err := sched.Build(res, opt.Sched)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !pr.Throughput.IsPos() {
-		return nil, nil, fmt.Errorf("adapt: re-negotiated throughput is zero on the measured platform: %w", bwcerr.ErrInfeasible)
+	if rs := &next.Nodes[next.Tree.Root()]; !rs.Active || rs.Pattern == nil {
+		return nil, fmt.Errorf("adapt: re-solved schedule has no usable root pattern: %w", bwcerr.ErrInfeasible)
 	}
-	next, err := sched.Build(ResultFromProtocol(pr), opt.Sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	root := next.Tree.Root()
-	if rs := &next.Nodes[root]; !rs.Active || rs.Pattern == nil {
-		return nil, nil, fmt.Errorf("adapt: re-solved schedule has no usable root pattern: %w", bwcerr.ErrInfeasible)
-	}
-	return next, pr, nil
+	return next, nil
 }
 
 // nextBoundary returns the first root period boundary of the active
@@ -432,14 +535,6 @@ func drainBound(old *sched.Schedule, phys *tree.Tree, stale rat.R) rat.R {
 		return rat.Zero
 	}
 	return stale.Mul(inflate.Sub(rat.One))
-}
-
-func prunedNames(pr *proto.Result) []string {
-	var out []string
-	for _, p := range pr.Pruned {
-		out = append(out, p.Name)
-	}
-	return out
 }
 
 // ResultFromProtocol lifts a distributed-protocol result into the

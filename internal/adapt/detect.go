@@ -40,9 +40,6 @@ func (d *Detector) Feed(ws analyze.WindowStat) bool {
 	return false
 }
 
-// Reset clears the consecutive-bad count (called after a schedule swap).
-func (d *Detector) Reset() { d.bad = 0 }
-
 // Drift is one detected deviation from the active schedule.
 type Drift struct {
 	// At is the instant the detector fired (the end of the K-th bad
@@ -64,7 +61,6 @@ func scan(ev *analyze.Evidence, s *sched.Schedule, segStart, settle, stop, windo
 		Window:   window,
 		End:      stop,
 	})
-	d.Reset()
 	for _, ws := range stats {
 		if ws.Start.Less(settle) {
 			continue

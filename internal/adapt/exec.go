@@ -137,10 +137,7 @@ func ExecuteAdaptive(s *sched.Schedule, opt ExecOptions) (*ExecReport, error) {
 			}
 			vt := rat.FromInt(int64(time.Since(start) / opt.Scale))
 			drift := Drift{At: vt, Window: ws}
-			opt.Obs.Emit("drift",
-				obs.A("at", vt.String()),
-				obs.A("node", ws.WorstNode),
-				obs.A("ratio", fmt.Sprintf("%.3f", ws.MinRatio)))
+			emitDrift(opt.Obs, drift)
 			// The engine classifies confirmed drift; approx marks the
 			// wall-clock detection instant (sleep jitter ⇒ "t≈").
 			if opt.MaxAdapts == 0 {
@@ -153,30 +150,24 @@ func ExecuteAdaptive(s *sched.Schedule, opt ExecOptions) (*ExecReport, error) {
 				rep.Healed = false
 				return
 			}
-			next, pr, err := resolve(e.Physics(), CrashedBefore(opt.Faults, vt), opt.Options)
+			st, err := full{opt.Options}.resolve(drift, e.Physics(), win)
 			if err != nil {
 				monErr = err
 				rep.Healed = false
 				return
 			}
-			if err := e.Swap(next); err != nil {
+			ad := st.ad
+			if err := e.Swap(ad.Schedule); err != nil {
 				// The batch finished releasing before the boundary; nothing
 				// left to adapt.
 				return
 			}
-			rep.Adaptations = append(rep.Adaptations, Adaptation{
-				Drift:      drift,
-				SwapAt:     rat.FromInt(int64(time.Since(start) / opt.Scale)),
-				Throughput: pr.Throughput,
-				Messages:   pr.Messages,
-				Visited:    pr.VisitedCount,
-				Pruned:     prunedNames(pr),
-				Schedule:   next,
-			})
+			ad.Drift, ad.SwapAt = drift, rat.FromInt(int64(time.Since(start)/opt.Scale))
+			rep.Adaptations = append(rep.Adaptations, ad)
 			opt.Obs.Emit("swap",
-				obs.A("at", rep.Adaptations[len(rep.Adaptations)-1].SwapAt.String()),
-				obs.A("throughput", pr.Throughput.String()))
-			active = next
+				obs.A("at", ad.SwapAt.String()),
+				obs.A("throughput", ad.Throughput.String()))
+			active = ad.Schedule
 			if w, werr := opt.windowFor(active); werr == nil {
 				win = w
 			}

@@ -96,7 +96,7 @@ func (f Fault) String() string {
 // crashes scale the victim's w by crashFactor (its link is untouched; a
 // crashed switch changes no weight — it is pruned at negotiation time
 // instead). The returned changes share the base tree's shape, as
-// sim.SimulateDynamic and runtime.SetPhysics require.
+// sim.Options.Physics and runtime.SetPhysics require.
 func Timeline(base *tree.Tree, faults []Fault, crashFactor rat.R) ([]sim.PhysicsChange, error) {
 	if len(faults) == 0 {
 		return nil, nil

@@ -90,14 +90,13 @@ func TestSeededFaultDetected(t *testing.T) {
 
 	sc := obs.New()
 	stop := rat.FromInt(360)
-	_, err = sim.SimulateDynamic(sim.DynOptions{
-		Phases:  []sim.Phase{{Schedule: s}},
-		Physics: []sim.PhysicsChange{{Tree: slow}},
+	_, err = sim.Simulate(s, sim.Options{
 		Stop:    stop,
+		Physics: []sim.PhysicsChange{{Tree: slow}},
 		Obs:     sc,
 	})
 	if err != nil {
-		t.Fatalf("SimulateDynamic: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 
 	rep := Analyze(FromScope(sc), Options{Schedule: s, Stop: stop})

@@ -476,6 +476,13 @@ func (a R) Abs() R {
 // Floor returns the largest integer <= a, as an R.
 func (a R) Floor() R {
 	a = a.norm()
+	if a.big == nil {
+		q := a.n / a.d // truncates toward zero
+		if a.n < 0 && a.n%a.d != 0 {
+			q--
+		}
+		return FromInt(q)
+	}
 	if a.IsInt() {
 		return a
 	}

@@ -366,6 +366,59 @@ func TestSimulateAndAdaptiveEndpoints(t *testing.T) {
 	}
 }
 
+// TestSSEChurnSwapEvents: a churn run that adapts publishes the
+// controller's swap events on its run's event stream, like an adaptive
+// run does. Run IDs are sequential, so the first run of a fresh server
+// is subscribable before it starts.
+func TestSSEChurnSwapEvents(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	paper := bwc.FormatPlatform(bwc.PaperExampleTree())
+	const runID = "r000001"
+
+	resp, err := http.Get(ts.URL + "/api/v1/events?run=" + runID + "&name=swap&n=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), ": subscribed") {
+		t.Fatalf("expected subscription handshake, got %q", sc.Text())
+	}
+
+	var churn apiv1.ChurnResponse
+	r := post(t, ts.URL+"/api/v1/churn", apiv1.ChurnRequest{Platform: paper, Seed: 6, Rate: 3, Duration: "600"}, &churn)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("churn status %d", r.StatusCode)
+	}
+	if churn.RunID != runID || churn.Cycles == 0 {
+		t.Fatalf("churn = %+v, want run %s with at least one cycle", churn, runID)
+	}
+
+	got := make(chan apiv1.Event, 1)
+	go func() {
+		for sc.Scan() {
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var ev apiv1.Event
+				if json.Unmarshal([]byte(data), &ev) == nil {
+					got <- ev
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case ev := <-got:
+		if ev.Name != "swap" || ev.Run != runID {
+			t.Errorf("event %s of run %s, want swap of %s", ev.Name, ev.Run, runID)
+		}
+		if ev.Attrs["at"] == "" || ev.Attrs["throughput"] == "" {
+			t.Errorf("swap event missing attrs: %v", ev.Attrs)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no swap event within deadline")
+	}
+}
+
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -48,14 +48,12 @@ func TestStopCutsPeriod(t *testing.T) {
 	sm := &simulator{
 		eng:   &des.Engine{},
 		t:     tr,
-		s:     s,
 		tr:    &trace.Trace{Tree: tr},
 		opt:   Options{Stop: stop},
 		stats: &Stats{StopAt: stop},
-		pacer: pacer,
 	}
 	sm.core = engine.New(engine.Config{Schedule: s, Clock: sm.eng, Hooks: sm, Recorder: rec})
-	sm.schedulePeriod(0, 0)
+	sm.release(pacer, rat.Zero, stop, 0)
 
 	var got []rat.R
 	for {

@@ -76,6 +76,38 @@ type Options struct {
 	// (bwc_node_buffer_tasks, bwc_node_buffer_max_tasks) and task/event
 	// counters. nil (the default) is the disabled fast path.
 	Obs *obs.Scope
+	// Phases activates further schedules mid-run, in strictly increasing
+	// At order with every At > 0 (the simulated schedule is in force from
+	// t = 0); Physics swaps the platform's weights, in increasing At
+	// order. Between a physics change and the phase that answers it,
+	// every node runs its stale schedule against the new physics: the
+	// re-negotiation lag whose cost Section 5 leaves as future work. A
+	// run with phases cannot set Tasks.
+	Phases  []Phase
+	Physics []PhysicsChange
+}
+
+// Phase activates a schedule at a point in virtual time. Activating a
+// phase resets every node's pattern cursor; buffered tasks survive and
+// are re-routed by the new pattern. A phase whose root is inactive
+// releases nothing (a pause).
+type Phase struct {
+	At       rat.R
+	Schedule *sched.Schedule
+	// Changed, when non-nil, activates the phase through the engine's
+	// delta seam (Core.InstallDelta): only the listed nodes get their
+	// pattern cursor reset, every other node keeps its Ψ-bunch position.
+	// Pass engine.ChangedNodes(prev, next) — the churn controller's
+	// spine-only swap. nil keeps the full-reset semantics.
+	Changed []tree.NodeID
+}
+
+// PhysicsChange swaps the physical platform (weights only; same topology)
+// at a point in virtual time. Transfers already in flight complete under
+// the conditions they started with.
+type PhysicsChange struct {
+	At   rat.R
+	Tree *tree.Tree
 }
 
 // Stats summarizes a run.
@@ -112,6 +144,10 @@ type Stats struct {
 	// ResultsReturned counts task results that reached the root; equal to
 	// Completed after drain on result-return platforms, zero otherwise.
 	ResultsReturned int
+	// Dropped counts stragglers that no node could handle after a phase
+	// switch (Generated = Completed + Dropped after drain; always zero
+	// without Phases).
+	Dropped int
 }
 
 // Run is the result of simulating a schedule.
@@ -130,12 +166,12 @@ type Run struct {
 type simulator struct {
 	eng   *des.Engine
 	core  *engine.Core
-	pacer *engine.Pacer
 	t     *tree.Tree
-	s     *sched.Schedule
 	tr    *trace.Trace
 	opt   Options
 	stats *Stats
+	// released counts the slots scheduled so far in Tasks mode.
+	released int
 
 	// sc is the (possibly nil) observability scope. When set, the fields
 	// below hold its pre-registered instruments and the per-node span
@@ -304,7 +340,9 @@ func (sm *simulator) ResultHome(tk engine.Task) {
 }
 
 // Simulate runs the schedule until the root stops and all in-flight work
-// drains, then post-processes the trace into Stats.
+// drains, then post-processes the trace into Stats. s is in force from
+// t = 0; opt.Phases and opt.Physics change the schedule and the platform
+// mid-run.
 func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	t := s.Tree
 	if t.Len() == 0 {
@@ -334,22 +372,17 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	if opt.MaxEvents == 0 {
 		opt.MaxEvents = 20_000_000
 	}
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		if ns.Active && ns.Pattern == nil {
-			return nil, fmt.Errorf("sim: node %s has Ψ=%s, too large to materialize (raise sched.Options.MaxPatternLen)",
-				t.Name(ns.Node), ns.Bunch)
-		}
-	}
 	if !rootSched.Active {
 		return nil, fmt.Errorf("sim: root is inactive; nothing to simulate")
 	}
+	phases := append([]Phase{{Schedule: s}}, opt.Phases...)
+	if err := checkPhases(phases, opt); err != nil {
+		return nil, err
+	}
 
-	if opt.Tasks > 0 {
+	if opt.Tasks > 0 && !s.Res.Throughput.IsPos() {
 		// A finite batch needs a positive release rate.
-		if !s.Res.Throughput.IsPos() {
-			return nil, fmt.Errorf("sim: platform has zero throughput; cannot release a batch")
-		}
+		return nil, fmt.Errorf("sim: platform has zero throughput; cannot release a batch")
 	}
 	st := &Stats{
 		Throughput: s.Res.Throughput,
@@ -365,7 +398,6 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	sm := &simulator{
 		eng:   &des.Engine{},
 		t:     t,
-		s:     s,
 		tr:    &trace.Trace{Tree: t},
 		opt:   opt,
 		stats: st,
@@ -378,10 +410,40 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 		Clock:    sm.eng,
 		Hooks:    sm,
 		Recorder: opt.Recorder,
+		// A phase switch can strand in-flight tasks at nodes the new
+		// schedule no longer uses; the engine re-routes or drops them.
+		BestEffort: len(opt.Phases) > 0,
 	})
-	sm.pacer = engine.NewPacer(s, opt.BurstRoot)
 
-	sm.schedulePeriod(0, 0)
+	// Registration order fixes how same-instant events tie: physics
+	// swaps first, then per phase its install followed by its releases.
+	for _, pc := range opt.Physics {
+		if opt.Tasks == 0 && opt.Stop.Less(pc.At) {
+			continue
+		}
+		t := pc.Tree
+		sm.eng.At(pc.At, func() { sm.core.SetPhysics(t) })
+	}
+	for i, p := range phases {
+		until := opt.Stop
+		if i+1 < len(phases) && phases[i+1].At.Less(until) {
+			until = phases[i+1].At
+		}
+		ps := p.Schedule
+		if i > 0 {
+			if !p.At.Less(until) {
+				continue // phase entirely after Stop
+			}
+			if changed := p.Changed; changed != nil {
+				sm.eng.At(p.At, func() { sm.core.InstallDelta(ps, changed) })
+			} else {
+				sm.eng.At(p.At, func() { sm.core.Install(ps) })
+			}
+		}
+		if rs := &ps.Nodes[ps.Tree.Root()]; rs.Active && len(rs.Pattern) > 0 {
+			sm.release(engine.NewPacer(ps, opt.BurstRoot), p.At, until, 0)
+		}
+	}
 	if sm.sc != nil {
 		if err := sm.drainObserved(opt.MaxEvents); err != nil {
 			return nil, err
@@ -392,12 +454,45 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	sm.tr.End = sm.eng.Now()
 	sm.finishStats()
 	sm.exportIntervalSpans()
-	if sm.sc != nil {
-		for id, peak := range sm.tr.MaxBufferHeld() {
-			sm.bufMaxG[id].Set(int64(peak))
+	return &Run{Schedule: s, Trace: sm.tr, Stats: *st, Obs: sm.sc}, nil
+}
+
+// checkPhases validates the schedule timeline (phases[0] is the t = 0
+// schedule) and the physics changes: same shape as the t = 0 platform,
+// increasing times, materialized patterns.
+func checkPhases(phases []Phase, opt Options) error {
+	if opt.Tasks > 0 && len(phases) > 1 {
+		return fmt.Errorf("sim: Tasks cannot be combined with Phases")
+	}
+	t := phases[0].Schedule.Tree
+	for i, p := range phases {
+		if i > 0 {
+			if p.Schedule == nil {
+				return fmt.Errorf("sim: phase %d has no schedule", i)
+			}
+			if err := engine.SameShape(t, p.Schedule.Tree); err != nil {
+				return fmt.Errorf("sim: phase %d: %v", i, err)
+			}
+			if !phases[i-1].At.Less(p.At) {
+				return fmt.Errorf("sim: phase times must be positive and increasing")
+			}
+		}
+		for j := range p.Schedule.Nodes {
+			if ns := &p.Schedule.Nodes[j]; ns.Active && ns.Pattern == nil {
+				return fmt.Errorf("sim: node %s has Ψ=%s, too large to materialize (raise sched.Options.MaxPatternLen)",
+					t.Name(ns.Node), ns.Bunch)
+			}
 		}
 	}
-	return &Run{Schedule: s, Trace: sm.tr, Stats: *st, Obs: sm.sc}, nil
+	for i, pc := range opt.Physics {
+		if err := engine.SameShape(t, pc.Tree); err != nil {
+			return fmt.Errorf("sim: physics change %d: %v", i, err)
+		}
+		if pc.At.IsNeg() || i > 0 && !opt.Physics[i-1].At.Less(pc.At) {
+			return fmt.Errorf("sim: physics times must be non-negative and increasing")
+		}
+	}
+	return nil
 }
 
 // exportIntervalSpans registers a deferred producer that converts the
@@ -494,45 +589,49 @@ func smallInt(v uint64) string {
 	return strconv.FormatUint(v, 10)
 }
 
-// schedulePeriod releases the root's period-p slots that fall before Stop
-// (or until the Tasks budget is exhausted), then chains the next period
-// lazily. released counts slots scheduled so far in Tasks mode. Release
-// instants are monotone in the slot index, so the walk ends at the first
-// slot at or past Stop.
-func (sm *simulator) schedulePeriod(p, released int64) {
-	base := sm.pacer.PeriodStart(p)
-	timed := sm.opt.Tasks == 0
-	if timed && !base.Less(sm.opt.Stop) {
+// release schedules the root's period-p slots of one phase window
+// [start, until), paced from start, then chains the next period lazily.
+// In Tasks mode (t = 0 window only) the window ends once the batch is
+// released instead. Release instants are monotone in the slot index, so
+// the walk ends at the first slot at or past until.
+func (sm *simulator) release(pacer *engine.Pacer, start, until rat.R, p int64) {
+	base := shift(start, pacer.PeriodStart(p))
+	batch := sm.opt.Tasks > 0
+	if !batch && !base.Less(until) {
 		return
 	}
-	for i := 0; i < sm.pacer.Len(); i++ {
-		at := sm.pacer.At(p, i)
-		if timed && !at.Less(sm.opt.Stop) {
-			break
-		}
-		if !timed {
-			if released >= int64(sm.opt.Tasks) {
+	for i := 0; i < pacer.Len(); i++ {
+		at := shift(start, pacer.At(p, i))
+		if batch {
+			if sm.released >= sm.opt.Tasks {
 				return
 			}
-			released++
+			sm.released++
 			// The last release time is the batch's effective stop.
 			sm.stats.StopAt = at
+		} else if !at.Less(until) {
+			break
 		}
-		dest := sm.pacer.Dest(i)
+		dest := pacer.Dest(i)
 		sm.eng.At(at, func() {
 			sm.stats.Generated++
 			sm.genCtr.Inc()
 			sm.core.Release(dest, engine.Task{ID: sm.stats.Generated - 1})
 		})
 	}
-	if !timed && released >= int64(sm.opt.Tasks) {
+	next := base.Add(pacer.TW())
+	if batch && sm.released >= sm.opt.Tasks || !batch && !next.Less(until) {
 		return
 	}
-	next := base.Add(sm.pacer.TW())
-	if timed && !next.Less(sm.opt.Stop) {
-		return
+	sm.eng.At(next, func() { sm.release(pacer, start, until, p+1) })
+}
+
+// shift returns start+d, sparing the t = 0 window the addition.
+func shift(start, d rat.R) rat.R {
+	if start.IsZero() {
+		return d
 	}
-	sm.eng.At(next, func() { sm.schedulePeriod(p+1, released) })
+	return start.Add(d)
 }
 
 func (sm *simulator) finishStats() {
@@ -554,9 +653,13 @@ func (sm *simulator) finishStats() {
 			st.WindDown = last.Sub(st.StopAt)
 		}
 	}
-	for _, h := range sm.tr.MaxBufferHeld() {
+	st.Dropped = int(sm.core.Dropped())
+	for id, h := range sm.tr.MaxBufferHeld() {
 		if h > st.MaxHeld {
 			st.MaxHeld = h
+		}
+		if sm.sc != nil {
+			sm.bufMaxG[id].Set(int64(h))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -142,6 +143,42 @@ func TestPeriodCountsZeroPeriod(t *testing.T) {
 	tr := &Trace{Tree: tinyTree(t)}
 	if got := tr.PeriodCounts(rat.Zero, rat.FromInt(10)); got != nil {
 		t.Fatalf("zero period counts = %v", got)
+	}
+}
+
+// TestPeriodCountsMatchesPerWindow checks the one-pass window counts
+// against a direct per-window count on random unordered traces whose
+// completions often sit exactly on window edges, before 0, or past the
+// horizon.
+func TestPeriodCountsMatchesPerWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 200; iter++ {
+		period := rat.New(int64(1+rng.Intn(12)), int64(1+rng.Intn(4)))
+		horizon := period.Mul(rat.New(int64(rng.Intn(40)), int64(1+rng.Intn(3))))
+		tr := &Trace{Tree: tinyTree(t)}
+		for i := rng.Intn(60); i > 0; i-- {
+			var at rat.R
+			switch rng.Intn(3) {
+			case 0: // exactly on a window edge
+				at = period.Mul(rat.FromInt(int64(rng.Intn(45) - 2)))
+			default:
+				at = rat.New(int64(rng.Intn(800)-20), int64(1+rng.Intn(6)))
+			}
+			tr.AddCompletion(0, at)
+		}
+		got := tr.PeriodCounts(period, horizon)
+		var want []int
+		for start := rat.Zero; !horizon.Less(start.Add(period)); start = start.Add(period) {
+			want = append(want, tr.CompletedIn(start, start.Add(period)))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: period %s horizon %s: %d windows, want %d", iter, period, horizon, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("iter %d: period %s horizon %s: window %d counts %d, want %d", iter, period, horizon, i, got[i], want[i])
+			}
+		}
 	}
 }
 

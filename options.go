@@ -46,7 +46,6 @@ type callCfg struct {
 	tasks      int
 	skip       bool
 	simOptions SimOptions
-	simSet     bool
 
 	// Schedule construction (BuildSchedule, QuantizeSchedule,
 	// UnmarshalDeployment, and re-solves inside the adaptive loop).
@@ -56,24 +55,18 @@ type callCfg struct {
 	scale      time.Duration
 	work       func(NodeID, int)
 	execConfig ExecuteConfig
-	execSet    bool
 
 	// Conformance analysis (AnalyzeRun and friends).
 	anOptions AnalyzeOptions
-	anSet     bool
 
 	// Adaptive runtime (SimulateAdaptive, ExecuteAdaptive, DetectDrift).
 	adaptOptions AdaptOptions
 	faults       []Fault
 	detectOnly   bool
 
-	// Churn-hardened runtime (SimulateChurn).
-	churn          ChurnConfig
-	retentionFloor float64
-	flapThreshold  int
-	flapWindow     Rational
-	resolveRetries int
-	retryBackoff   Rational
+	// Churn-hardened runtime (SimulateChurn); its embedded adaptive
+	// options come from the fields above.
+	churn adapt.ChurnOptions
 }
 
 func buildCfg(opts []Option) callCfg {
@@ -158,7 +151,7 @@ func WithSkipIntervals() Option {
 // without a dedicated option (BurstRoot, MaxEvents). Dedicated options
 // applied after it override the seeded fields.
 func WithSimOptions(o SimOptions) Option {
-	return func(c *callCfg) { c.simOptions = o; c.simSet = true }
+	return func(c *callCfg) { c.simOptions = o }
 }
 
 // WithScheduleOptions configures schedule construction wherever one is
@@ -192,14 +185,14 @@ func WithWork(f func(node NodeID, task int)) Option {
 // schedule argument of Execute and dedicated options applied after it
 // override the seeded fields.
 func WithExecuteConfig(cfg ExecuteConfig) Option {
-	return func(c *callCfg) { c.execConfig = cfg; c.execSet = true }
+	return func(c *callCfg) { c.execConfig = cfg }
 }
 
 // WithAnalyzeOptions seeds the full conformance-analysis configuration
 // (thresholds, expected schedule); dedicated options applied after it
 // override the seeded fields.
 func WithAnalyzeOptions(o AnalyzeOptions) Option {
-	return func(c *callCfg) { c.anOptions = o; c.anSet = true }
+	return func(c *callCfg) { c.anOptions = o }
 }
 
 // WithFaults appends scripted perturbations to the fault timeline of
@@ -266,7 +259,7 @@ func WithAdaptOptions(o AdaptOptions) Option {
 // seed fully determines the fault script (and the run's event log) for
 // a given platform and horizon.
 func WithChurn(cfg ChurnConfig) Option {
-	return func(c *callCfg) { c.churn = cfg }
+	return func(c *callCfg) { c.churn.Churn = cfg }
 }
 
 // WithRetentionFloor sets the graceful-degradation contract's hard
@@ -274,7 +267,7 @@ func WithChurn(cfg ChurnConfig) Option {
 // fraction of the baseline is retried with backoff, and an exhausted
 // retry budget collapses the run with ErrChurnCollapse (default 0.5).
 func WithRetentionFloor(f float64) Option {
-	return func(c *callCfg) { c.retentionFloor = f }
+	return func(c *callCfg) { c.churn.RetentionFloor = f }
 }
 
 // WithFlapQuarantine quarantines a node perturbed in threshold re-solve
@@ -283,8 +276,8 @@ func WithRetentionFloor(f float64) Option {
 // horizon).
 func WithFlapQuarantine(threshold int, window Rational) Option {
 	return func(c *callCfg) {
-		c.flapThreshold = threshold
-		c.flapWindow = window
+		c.churn.FlapThreshold = threshold
+		c.churn.FlapWindow = window
 	}
 }
 
@@ -293,8 +286,8 @@ func WithFlapQuarantine(threshold int, window Rational) Option {
 // base uses the detection window), before the run collapses.
 func WithResolveRetries(n int, backoff Rational) Option {
 	return func(c *callCfg) {
-		c.resolveRetries = n
-		c.retryBackoff = backoff
+		c.churn.ResolveRetries = n
+		c.churn.RetryBackoff = backoff
 	}
 }
 
@@ -351,15 +344,9 @@ func (c callCfg) buildAnalyzeOptions() AnalyzeOptions {
 }
 
 func (c callCfg) buildChurnOptions() adapt.ChurnOptions {
-	return adapt.ChurnOptions{
-		Options:        c.buildAdaptOptions(),
-		Churn:          c.churn,
-		RetentionFloor: c.retentionFloor,
-		ResolveRetries: c.resolveRetries,
-		RetryBackoff:   c.retryBackoff,
-		FlapThreshold:  c.flapThreshold,
-		FlapWindow:     c.flapWindow,
-	}
+	o := c.churn
+	o.Options = c.buildAdaptOptions()
+	return o
 }
 
 func (c callCfg) buildAdaptOptions() AdaptOptions {

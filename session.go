@@ -17,10 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bwc/internal/adapt"
 	"bwc/internal/bwfirst"
-	"bwc/internal/runtime"
-	"bwc/internal/sim"
 	"bwc/internal/tree"
 	"bwc/internal/treeio"
 )
@@ -268,7 +265,7 @@ func (se *Session) Simulate(t *Tree, opts ...Option) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.Simulate(s, buildCfg(se.options(opts)).buildSimOptions())
+	return Simulate(s, se.options(opts)...)
 }
 
 // Execute runs t's memoized schedule on the real-time backend of the
@@ -278,7 +275,7 @@ func (se *Session) Execute(t *Tree, opts ...Option) (*ExecuteReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runtime.Execute(buildCfg(se.options(opts)).buildExecConfig(s))
+	return Execute(s, se.options(opts)...)
 }
 
 // Analyze simulates t's memoized schedule under an Observer and checks
@@ -302,15 +299,7 @@ func (se *Session) Analyze(t *Tree, opts ...Option) (*HealthReport, error) {
 // the memo under the measured platform's fingerprint, so a follow-up
 // Solve of the post-fault platform is already a cache hit.
 func (se *Session) SimulateAdaptive(t *Tree, opts ...Option) (*AdaptReport, error) {
-	s, err := se.BuildSchedule(t, opts...)
-	if err != nil {
-		return nil, err
-	}
-	rep, rerr := adapt.SimulateAdaptive(s, buildCfg(se.options(opts)).buildAdaptOptions())
-	if rep != nil {
-		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
-	}
-	return rep, rerr
+	return adapted(se, t, opts, SimulateAdaptive, func(r *AdaptReport) []Adaptation { return r.Adaptations })
 }
 
 // SimulateChurn runs the churn-hardened closed loop (SimulateChurn) on
@@ -318,46 +307,28 @@ func (se *Session) SimulateAdaptive(t *Tree, opts ...Option) (*AdaptReport, erro
 // schedule primes the memo under its measured platform's fingerprint,
 // so post-churn platforms are already cache hits.
 func (se *Session) SimulateChurn(t *Tree, opts ...Option) (*ChurnReport, error) {
-	s, err := se.BuildSchedule(t, opts...)
-	if err != nil {
-		return nil, err
-	}
-	rep, rerr := adapt.SimulateChurn(s, buildCfg(se.options(opts)).buildChurnOptions())
-	if rep != nil {
-		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
-	}
-	return rep, rerr
+	return adapted(se, t, opts, SimulateChurn, func(r *ChurnReport) []Adaptation { return r.Adaptations })
 }
 
 // ExecuteAdaptive is SimulateAdaptive on the real-time backend
 // (WithTasks, WithScale): the batch runs to completion, and any
 // re-negotiations invalidate and re-prime the memo the same way.
 func (se *Session) ExecuteAdaptive(t *Tree, opts ...Option) (*AdaptExecReport, error) {
+	return adapted(se, t, opts, ExecuteAdaptive, func(r *AdaptExecReport) []Adaptation { return r.Adaptations })
+}
+
+// adapted runs an adaptation controller on t's memoized schedule and
+// re-primes the memo with the schedules it re-solved.
+func adapted[R any](se *Session, t *Tree, opts []Option, run func(*Schedule, ...Option) (*R, error), ads func(*R) []Adaptation) (*R, error) {
 	s, err := se.BuildSchedule(t, opts...)
 	if err != nil {
 		return nil, err
 	}
-	cfg := buildCfg(se.options(opts))
-	rep, rerr := adapt.ExecuteAdaptive(s, adapt.ExecOptions{
-		Options: cfg.buildAdaptOptions(),
-		Tasks:   cfg.tasks,
-		Scale:   cfg.scale,
-		Work:    cfg.work,
-	})
+	rep, err := run(s, se.options(opts)...)
 	if rep != nil {
-		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
+		se.reprime(t, ads(rep), opts)
 	}
-	return rep, rerr
-}
-
-func adaptedSchedules(ads []Adaptation) []*Schedule {
-	var out []*Schedule
-	for _, ad := range ads {
-		if ad.Schedule != nil && ad.Schedule.Res != nil {
-			out = append(out, ad.Schedule)
-		}
-	}
-	return out
+	return rep, err
 }
 
 // reprime drops the pre-fault platform's entries and installs the
@@ -365,8 +336,8 @@ func adaptedSchedules(ads []Adaptation) []*Schedule {
 // The drop and the re-prime happen in one critical section: a
 // concurrent Invalidate either sees the stale entries or the fully
 // re-primed memo, never a half-installed mixture.
-func (se *Session) reprime(t *Tree, resolved []*Schedule, opts []Option) {
-	if len(resolved) == 0 {
+func (se *Session) reprime(t *Tree, ads []Adaptation, opts []Option) {
+	if len(ads) == 0 {
 		return
 	}
 	fp := se.fingerprint(t)
@@ -374,7 +345,11 @@ func (se *Session) reprime(t *Tree, resolved []*Schedule, opts []Option) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	se.invalidateLocked(fp)
-	for _, s := range resolved {
+	for _, ad := range ads {
+		s := ad.Schedule
+		if s == nil || s.Res == nil {
+			continue
+		}
 		fp := PlatformFingerprint(s.Tree)
 		se.solves[fp] = solvedEntry(s.Res)
 		ce := &schedEntry{s: s}
